@@ -4,6 +4,10 @@
 //! to `BENCH_detector.json`.
 
 use crate::{bursty_train, covert_histogram, quantum_conflicts, random_blocks};
+use cc_hunter::audit::{AuditSession, TrackerKind};
+use cc_hunter::channels::{BitClock, CacheChannelConfig, CacheSpy, CacheTrojan, Message, SpyLog};
+use cc_hunter::sim::{Cache, CacheConfig, ContextId, Cycle, Machine, MachineConfig};
+use cc_hunter::workloads::noise::spawn_standard_noise;
 use cchunter_detector::autocorr::Autocorrelogram;
 use cchunter_detector::burst::BurstDetector;
 use cchunter_detector::cluster::{discretize, kmeans};
@@ -35,6 +39,7 @@ pub fn detector_suite(c: &mut Criterion) {
     bench_mitigation_tick(c);
     bench_bloom(c);
     bench_trackers(c);
+    bench_simulator(c);
 }
 
 fn bench_autocorrelation(c: &mut Criterion) {
@@ -340,6 +345,67 @@ fn bench_trackers(c: &mut Criterion) {
                 t.record_access(block);
             }
             t
+        })
+    });
+}
+
+fn bench_simulator(c: &mut Criterion) {
+    // The paper's L2 geometry (256 KB, 8 ways, 64 B lines) under 100k
+    // uniformly random line loads over a 2 MB footprint: mostly misses with
+    // LRU victim selection, the simulator's per-access hot path.
+    let config = CacheConfig {
+        capacity_bytes: 256 * 1024,
+        line_bytes: 64,
+        ways: 8,
+        hit_latency: 15,
+    };
+    let lines = random_blocks(100_000, (2 << 20) / 64, 23);
+    let ctx = ContextId::new(0, 0);
+    let mut cache = Cache::new(config);
+    c.bench_function("cache_access_random_2mb", |b| {
+        b.iter(|| {
+            let mut hits = 0u32;
+            for &addr in &lines {
+                hits += cache.access(addr, ctx).hit as u32;
+            }
+            hits
+        })
+    });
+
+    // One OS quantum at a tenth of the paper's scale (25 M cycles): the
+    // cache channel on core 0's hyperthreads beside three background
+    // processes, core 0's L2 audited with the practical tracker.
+    const QUANTUM: u64 = 25_000_000;
+    c.bench_function("sim_quantum_cache_channel_tiny", |b| {
+        b.iter(|| {
+            let mut m = Machine::new(
+                MachineConfig::builder()
+                    .quantum_cycles(QUANTUM)
+                    .build()
+                    .expect("valid config"),
+            );
+            let channel = CacheChannelConfig::new(
+                Message::alternating(10),
+                BitClock::new(1_000_000, 2_500_000),
+                512,
+            );
+            m.spawn(
+                Box::new(CacheTrojan::new(channel.clone())),
+                m.config().context_id(0, 0),
+            );
+            m.spawn(
+                Box::new(CacheSpy::new(channel, SpyLog::new_handle())),
+                m.config().context_id(0, 1),
+            );
+            spawn_standard_noise(&mut m, 0, 3, 7);
+            let mut session = AuditSession::new();
+            let blocks = m.config().l2.total_blocks() as usize;
+            session
+                .audit_cache(0, blocks, TrackerKind::Practical)
+                .expect("cache audit");
+            session.attach(&mut m);
+            m.run_until(Cycle::new(QUANTUM));
+            session.drain_conflicts().expect("cache under audit").len()
         })
     });
 }
