@@ -29,31 +29,16 @@ pub struct CacheAccessOutcome {
     pub victim: Option<(u64, ContextId)>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Block {
-    tag: u64,
-    owner: ContextId,
-    /// LRU timestamp: larger is more recent.
-    stamp: u64,
-    valid: bool,
-}
-
-impl Block {
-    fn empty() -> Self {
-        Block {
-            tag: 0,
-            owner: ContextId::new(0, 0),
-            stamp: 0,
-            valid: false,
-        }
-    }
-}
-
 /// A set-associative cache with true-LRU replacement.
 ///
 /// Addresses are byte addresses; the cache works on line-aligned block
 /// addresses internally. The model tracks contents and ownership only — data
 /// values are irrelevant to timing channels.
+///
+/// Sets are stored as three parallel arrays indexed `set * ways + way`: a
+/// key per block (its line number plus one, so 0 marks an invalid way), an
+/// LRU stamp and an owner context. A set's keys are contiguous, so a hit
+/// check scans one short run of `u64`s.
 ///
 /// ```
 /// use cchunter_sim::{Cache, CacheConfig, ContextId};
@@ -68,7 +53,12 @@ pub struct Cache {
     config: CacheConfig,
     sets: u32,
     ways: u32,
-    blocks: Vec<Block>,
+    /// Line number + 1 of each block; 0 = invalid.
+    keys: Vec<u64>,
+    /// LRU timestamp of each block: larger is more recent.
+    stamps: Vec<u64>,
+    /// Current owner context of each block.
+    owners: Vec<ContextId>,
     tick: u64,
     line_shift: u32,
     /// Per-context fill restrictions (way-partitioning, Intel CAT style):
@@ -91,7 +81,9 @@ impl Cache {
             config,
             sets,
             ways,
-            blocks: vec![Block::empty(); (sets * ways) as usize],
+            keys: vec![0; (sets * ways) as usize],
+            stamps: vec![0; (sets * ways) as usize],
+            owners: vec![ContextId::new(0, 0); (sets * ways) as usize],
             tick: 0,
             line_shift: config.line_bytes.trailing_zeros(),
             way_masks: Vec::new(),
@@ -181,52 +173,59 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let set = self.set_index(addr);
-        let tag = addr >> self.line_shift >> self.sets.trailing_zeros();
-        let set_shift = self.sets.trailing_zeros();
-        let line_shift = self.line_shift;
-        let mask = self.way_mask(ctx);
-        let base = (set * self.ways) as usize;
-        let slots = &mut self.blocks[base..base + self.ways as usize];
+        let key = (addr >> self.line_shift) + 1;
+        let mask = if self.way_masks.is_empty() {
+            u64::MAX
+        } else {
+            self.way_mask(ctx)
+        };
+        let ways = self.ways as usize;
+        let base = set as usize * ways;
+        let keys = &mut self.keys[base..base + ways];
+        let stamps = &mut self.stamps[base..base + ways];
+        let owners = &mut self.owners[base..base + ways];
 
-        // Hit path.
-        if let Some(block) = slots.iter_mut().find(|b| b.valid && b.tag == tag) {
-            block.stamp = tick;
-            block.owner = ctx;
-            return CacheAccessOutcome {
-                hit: true,
-                set,
-                victim: None,
-            };
+        // One pass: stop at a hit; otherwise note the first invalid allowed
+        // way and the true-LRU allowed way (stamps of valid blocks are
+        // unique, so the minimum is too). `NONE` marks "not found".
+        const NONE: usize = usize::MAX;
+        let mut invalid = NONE;
+        let mut lru = NONE;
+        let mut lru_stamp = u64::MAX;
+        for way in 0..ways {
+            let k = keys[way];
+            if k == key {
+                stamps[way] = tick;
+                owners[way] = ctx;
+                return CacheAccessOutcome {
+                    hit: true,
+                    set,
+                    victim: None,
+                };
+            }
+            if mask & (1u64 << way) != 0 {
+                if k == 0 {
+                    if invalid == NONE {
+                        invalid = way;
+                    }
+                } else if stamps[way] < lru_stamp {
+                    lru_stamp = stamps[way];
+                    lru = way;
+                }
+            }
         }
 
-        // Miss: fill into an invalid allowed way, else evict the true-LRU
-        // block among the allowed ways.
-        let allowed = |i: usize| mask & (1u64 << i) != 0;
-        let (way, victim) = match slots
-            .iter()
-            .enumerate()
-            .position(|(i, b)| allowed(i) && !b.valid)
-        {
-            Some(way) => (way, None),
-            None => {
-                let way = slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| allowed(*i))
-                    .min_by_key(|(_, b)| b.stamp)
-                    .map(|(i, _)| i)
-                    .expect("mask selects at least one way");
-                let evicted = slots[way];
-                let victim_addr = ((evicted.tag << set_shift) | set as u64) << line_shift;
-                (way, Some((victim_addr, evicted.owner)))
-            }
+        // Miss: fill into an invalid allowed way, else evict the LRU one.
+        let (way, victim) = if invalid != NONE {
+            (invalid, None)
+        } else {
+            assert!(lru != NONE, "a way mask selects at least one way");
+            let victim_addr = (keys[lru] - 1) << self.line_shift;
+            (lru, Some((victim_addr, owners[lru])))
         };
-        slots[way] = Block {
-            tag,
-            owner: ctx,
-            stamp: tick,
-            valid: true,
-        };
+        keys[way] = key;
+        stamps[way] = tick;
+        owners[way] = ctx;
         CacheAccessOutcome {
             hit: false,
             set,
@@ -236,24 +235,19 @@ impl Cache {
 
     /// Probes whether `addr` is resident without disturbing LRU state.
     pub fn contains(&self, addr: u64) -> bool {
-        let set = self.set_index(addr);
-        let tag = addr >> self.line_shift >> self.sets.trailing_zeros();
-        let base = (set * self.ways) as usize;
-        self.blocks[base..base + self.ways as usize]
-            .iter()
-            .any(|b| b.valid && b.tag == tag)
+        let base = (self.set_index(addr) * self.ways) as usize;
+        let key = (addr >> self.line_shift) + 1;
+        self.keys[base..base + self.ways as usize].contains(&key)
     }
 
     /// Number of valid blocks currently resident.
     pub fn occupancy(&self) -> usize {
-        self.blocks.iter().filter(|b| b.valid).count()
+        self.keys.iter().filter(|&&k| k != 0).count()
     }
 
     /// Invalidates all contents.
     pub fn flush(&mut self) {
-        for b in &mut self.blocks {
-            b.valid = false;
-        }
+        self.keys.fill(0);
     }
 }
 

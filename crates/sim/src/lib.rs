@@ -81,8 +81,8 @@ pub use machine::Machine;
 pub use memory::{MemAccess, MemorySystem};
 pub use ops::{MemWidth, Op};
 pub use probe::{
-    BoundedTrace, ContextId, CoreId, DegradedProbe, FilteredTrace, ProbeEvent, ProbeSink, ThreadId,
-    VecTrace,
+    BoundedTrace, ContextId, CoreId, DegradedProbe, FilteredTrace, Interest, ProbeEvent, ProbeSink,
+    ThreadId, VecTrace,
 };
 pub use program::{FnProgram, OpScript, Program, ProgramView};
 pub use scheduler::{TemporalGate, ThreadState};

@@ -5,7 +5,7 @@ use crate::divider::DividerBank;
 use crate::engine::EventQueue;
 use crate::memory::MemorySystem;
 use crate::ops::Op;
-use crate::probe::{ContextId, ProbeEvent, ProbeSink, ThreadId, VecTrace};
+use crate::probe::{ContextId, Interest, ProbeEvent, ProbeSink, ThreadId, VecTrace};
 use crate::program::{Program, ProgramView};
 use crate::scheduler::{ContextSched, TemporalGate, ThreadState};
 use crate::stats::MachineStats;
@@ -55,8 +55,12 @@ pub struct Machine {
     multipliers: Vec<DividerBank>,
     threads: Vec<Thread>,
     contexts: Vec<ContextSched>,
+    /// The [`ContextId`] of each flat context index.
+    context_ids: Vec<ContextId>,
     queue: EventQueue<EngineEvent>,
     probes: Vec<Rc<RefCell<dyn ProbeSink>>>,
+    /// Union of the attached sinks' interests: the events worth building.
+    interest: Interest,
     now: Cycle,
     stats: MachineStats,
     event_buf: Vec<ProbeEvent>,
@@ -94,6 +98,7 @@ impl Machine {
         let contexts = (0..config.context_count())
             .map(|_| ContextSched::new())
             .collect();
+        let context_ids = config.contexts().collect();
         Machine {
             config,
             memory,
@@ -101,8 +106,10 @@ impl Machine {
             multipliers,
             threads: Vec::new(),
             contexts,
+            context_ids,
             queue: EventQueue::new(),
             probes: Vec::new(),
+            interest: Interest::NONE,
             now: Cycle::ZERO,
             stats: MachineStats::default(),
             event_buf: Vec::new(),
@@ -125,15 +132,9 @@ impl Machine {
         self.stats
     }
 
-    /// The memory system (for configuring tracing or inspecting caches).
+    /// The memory system (for inspecting caches and the bus).
     pub fn memory(&self) -> &MemorySystem {
         &self.memory
-    }
-
-    /// Mutable access to the memory system (e.g. to toggle
-    /// [`MemorySystem::trace_l2_accesses`]).
-    pub fn memory_mut(&mut self) -> &mut MemorySystem {
-        &mut self.memory
     }
 
     /// The divider bank of `core`.
@@ -146,9 +147,21 @@ impl Machine {
         &self.multipliers[core as usize]
     }
 
-    /// Attaches a probe sink that will observe all subsequent events.
+    /// Attaches a probe sink that will observe all subsequent events in
+    /// its [`interest`](ProbeSink::interest).
     pub fn attach_probe(&mut self, sink: Rc<RefCell<dyn ProbeSink>>) {
         self.probes.push(sink);
+        self.refresh_interest();
+    }
+
+    /// Re-reads the attached sinks' interests, so a sink may widen or
+    /// narrow its interest between runs (an audit unit programmed after
+    /// `attach`, say).
+    fn refresh_interest(&mut self) {
+        self.interest = self
+            .probes
+            .iter()
+            .fold(Interest::NONE, |acc, p| acc | p.borrow().interest());
     }
 
     /// Creates, attaches and returns a recording trace.
@@ -229,13 +242,16 @@ impl Machine {
                 }
             }
         }
-        self.event_buf.push(ProbeEvent::ContextSwitch {
-            cycle: self.now,
-            ctx: new_ctx,
-            from: None,
-            to: Some(tid),
-        });
-        self.emit_events();
+        self.refresh_interest();
+        if self.interest.contains(Interest::CONTEXT_SWITCHES) {
+            self.event_buf.push(ProbeEvent::ContextSwitch {
+                cycle: self.now,
+                ctx: new_ctx,
+                from: None,
+                to: Some(tid),
+            });
+            self.emit_events();
+        }
     }
 
     /// The context a thread is affine to.
@@ -341,27 +357,44 @@ impl Machine {
     }
 
     /// Runs the machine until simulated time reaches `end`.
+    ///
+    /// An op completion that falls at or before `end` and strictly before
+    /// every pending event would be the queue's next pop, so it is
+    /// delivered directly ("run-ahead") without a queue round trip; ties
+    /// still go through the queue to keep FIFO order. Either way it counts
+    /// as one dispatched event.
     pub fn run_until(&mut self, end: Cycle) {
+        self.refresh_interest();
         while let Some(when) = self.queue.peek_time() {
             if when > end {
                 break;
             }
             // Invariant: peek_time() just returned Some, and nothing popped
             // in between.
-            let (t, ev) = self.queue.pop().expect("peeked event");
+            let (mut t, ev) = self.queue.pop().expect("peeked event");
             self.now = self.now.max(t);
             self.stats.events_dispatched += 1;
-            match ev {
-                EngineEvent::OpComplete(idx) => {
-                    self.contexts[idx].busy = false;
-                    self.dispatch(idx, t);
-                }
+            let idx = match ev {
+                EngineEvent::OpComplete(idx) => idx,
                 EngineEvent::Wake(idx) => {
                     self.contexts[idx].wake_scheduled = false;
-                    if !self.contexts[idx].busy {
-                        self.dispatch(idx, t);
+                    if self.contexts[idx].busy {
+                        continue;
                     }
+                    idx
                 }
+            };
+            self.contexts[idx].busy = false;
+            while let Some(done) = self.dispatch(idx, t) {
+                let next_pop = done <= end && self.queue.peek_time().is_none_or(|p| done < p);
+                if !next_pop {
+                    self.contexts[idx].busy = true;
+                    self.queue.push(done, EngineEvent::OpComplete(idx));
+                    break;
+                }
+                t = done;
+                self.now = self.now.max(t);
+                self.stats.events_dispatched += 1;
             }
         }
         self.now = self.now.max(end);
@@ -380,11 +413,6 @@ impl Machine {
         ctx.index(self.config.smt_per_core) as usize
     }
 
-    fn flat_to_ctx(&self, idx: usize) -> ContextId {
-        let smt = self.config.smt_per_core as usize;
-        ContextId::new((idx / smt) as u8, (idx % smt) as u8)
-    }
-
     fn emit_events(&mut self) {
         if self.event_buf.is_empty() {
             return;
@@ -399,20 +427,21 @@ impl Machine {
         self.event_buf.clear();
     }
 
-    /// Core scheduling + execution loop for one context, starting at `t`.
-    /// Runs exactly one timed op (scheduling an `OpComplete`), or idles the
-    /// context.
-    fn dispatch(&mut self, idx: usize, mut t: Cycle) {
-        let ctx_id = self.flat_to_ctx(idx);
+    /// Core scheduling + execution loop for one idle context, starting at
+    /// `t`. Runs exactly one timed op and returns its completion instant
+    /// (the caller schedules it and marks the context busy), or idles the
+    /// context and returns `None`.
+    fn dispatch(&mut self, idx: usize, mut t: Cycle) -> Option<Cycle> {
+        let ctx_id = self.context_ids[idx];
+        let interest = self.interest;
         let quantum = self.config.scheduler.quantum_cycles;
         let switch_cost = self.config.scheduler.switch_cost;
         loop {
             // Containment: a parked context dispatches nothing until it is
             // resumed (the resume pushes the wake that restarts it).
             if self.contexts[idx].parked {
-                self.contexts[idx].busy = false;
                 self.emit_events();
-                return;
+                return None;
             }
 
             // Containment: outside its temporal-partition slot the context
@@ -427,33 +456,24 @@ impl Machine {
                             gate.next_open(t) + self.config.mitigation.partition_drain_cycles;
                         self.queue.push(reopen, EngineEvent::Wake(idx));
                     }
-                    self.contexts[idx].busy = false;
                     self.emit_events();
-                    return;
+                    return None;
                 }
             }
 
             // Wake any sleepers that are due.
-            {
-                let threads = &self.threads;
-                self.contexts[idx].wake_due(t, |tid| match threads[tid as usize].state {
-                    ThreadState::Sleeping { until } => until,
-                    _ => Cycle::ZERO,
-                });
-                for &tid in &self.contexts[idx].queue {
-                    // Woken sleepers become Ready.
-                    debug_assert!(!matches!(threads[tid as usize].state, ThreadState::Halted));
-                }
-                let queue: Vec<ThreadId> = self.contexts[idx].queue.iter().copied().collect();
-                for tid in queue {
-                    if matches!(
-                        self.threads[tid as usize].state,
-                        ThreadState::Sleeping { .. }
-                    ) {
-                        self.threads[tid as usize].state = ThreadState::Ready;
+            let threads = &mut self.threads;
+            self.contexts[idx].wake_due(|tid| {
+                let thread = &mut threads[tid as usize];
+                match thread.state {
+                    ThreadState::Sleeping { until } if until > t => false,
+                    ThreadState::Sleeping { .. } => {
+                        thread.state = ThreadState::Ready;
+                        true
                     }
+                    _ => true,
                 }
-            }
+            });
 
             // Deferred migration: the finished thread moves away now.
             if let Some(cur) = self.contexts[idx].current {
@@ -466,12 +486,14 @@ impl Machine {
                         self.queue.push(t, EngineEvent::Wake(target_idx));
                     }
                     self.stats.context_switches += 1;
-                    self.event_buf.push(ProbeEvent::ContextSwitch {
-                        cycle: t,
-                        ctx: target,
-                        from: None,
-                        to: Some(cur),
-                    });
+                    if interest.contains(Interest::CONTEXT_SWITCHES) {
+                        self.event_buf.push(ProbeEvent::ContextSwitch {
+                            cycle: t,
+                            ctx: target,
+                            from: None,
+                            to: Some(cur),
+                        });
+                    }
                     continue;
                 }
             }
@@ -482,13 +504,15 @@ impl Machine {
                     self.contexts[idx].queue.push_back(cur);
                     self.contexts[idx].current = None;
                     self.stats.context_switches += 1;
-                    let next = self.contexts[idx].queue.front().copied();
-                    self.event_buf.push(ProbeEvent::ContextSwitch {
-                        cycle: t,
-                        ctx: ctx_id,
-                        from: Some(cur),
-                        to: next,
-                    });
+                    if interest.contains(Interest::CONTEXT_SWITCHES) {
+                        let next = self.contexts[idx].queue.front().copied();
+                        self.event_buf.push(ProbeEvent::ContextSwitch {
+                            cycle: t,
+                            ctx: ctx_id,
+                            from: Some(cur),
+                            to: next,
+                        });
+                    }
                     t += switch_cost;
                     if self.flush_on_switch {
                         self.memory.flush_core(ctx_id.core());
@@ -519,9 +543,8 @@ impl Machine {
                                 self.queue.push(wake, EngineEvent::Wake(idx));
                             }
                         }
-                        self.contexts[idx].busy = false;
                         self.emit_events();
-                        return;
+                        return None;
                     }
                 }
             }
@@ -542,26 +565,31 @@ impl Machine {
                 Op::Compute { cycles } => t + cycles.max(1),
                 Op::Load { addr } | Op::Store { addr } => {
                     self.stats.memory_ops += 1;
-                    let mut buf = std::mem::take(&mut self.event_buf);
-                    let access = self.memory.access(ctx_id, addr, t, &mut buf);
-                    self.event_buf = buf;
+                    let access = self
+                        .memory
+                        .access(ctx_id, addr, t, interest, &mut self.event_buf);
                     t + access.latency
                 }
                 Op::AtomicUnaligned { addr } => {
                     self.stats.memory_ops += 1;
                     self.stats.bus_locks += 1;
-                    let mut buf = std::mem::take(&mut self.event_buf);
-                    let latency = self.memory.atomic_unaligned(ctx_id, addr, t, &mut buf);
-                    self.event_buf = buf;
+                    let latency = self.memory.atomic_unaligned(
+                        ctx_id,
+                        addr,
+                        t,
+                        interest,
+                        &mut self.event_buf,
+                    );
                     t + latency
                 }
                 Op::Div { count } => {
                     self.stats.divisions += count as u64;
                     let mut cur = t;
                     let bank = &mut self.dividers[ctx_id.core() as usize];
+                    let probed = interest.contains(Interest::divider(ctx_id.core()));
                     for _ in 0..count {
                         let issue = bank.issue(ctx_id, cur);
-                        if let Some(holder) = issue.contended_with {
+                        if let (true, Some(holder)) = (probed, issue.contended_with) {
                             self.event_buf.push(ProbeEvent::DividerWait {
                                 start: cur,
                                 cycles: issue.wait,
@@ -577,9 +605,10 @@ impl Machine {
                     self.stats.multiplications += count as u64;
                     let mut cur = t;
                     let bank = &mut self.multipliers[ctx_id.core() as usize];
+                    let probed = interest.contains(Interest::multiplier(ctx_id.core()));
                     for _ in 0..count {
                         let issue = bank.issue(ctx_id, cur);
-                        if let Some(holder) = issue.contended_with {
+                        if let (true, Some(holder)) = (probed, issue.contended_with) {
                             self.event_buf.push(ProbeEvent::MultiplierWait {
                                 start: cur,
                                 cycles: issue.wait,
@@ -620,10 +649,8 @@ impl Machine {
             };
 
             self.threads[tid as usize].last_latency = done - t;
-            self.contexts[idx].busy = true;
-            self.queue.push(done, EngineEvent::OpComplete(idx));
             self.emit_events();
-            return;
+            return Some(done);
         }
     }
 }

@@ -14,7 +14,7 @@
 use crate::bus::Bus;
 use crate::cache::{Cache, CacheLevel};
 use crate::config::MachineConfig;
-use crate::probe::{ContextId, ProbeEvent};
+use crate::probe::{ContextId, Interest, ProbeEvent};
 use crate::time::Cycle;
 
 /// Result of a memory operation.
@@ -37,10 +37,6 @@ pub struct MemorySystem {
     l1_hit_latency: u64,
     l2_hit_latency: u64,
     dram_latency: u64,
-    /// Emit per-access L2 probe events (hits and misses). Replacement
-    /// events are always emitted; access events are only needed when a
-    /// cache audit is active, and they dominate trace volume.
-    pub trace_l2_accesses: bool,
 }
 
 impl MemorySystem {
@@ -53,7 +49,6 @@ impl MemorySystem {
             l1_hit_latency: config.l1.hit_latency,
             l2_hit_latency: config.l2.hit_latency,
             dram_latency: config.bus.dram_latency,
-            trace_l2_accesses: true,
         }
     }
 
@@ -81,62 +76,41 @@ impl MemorySystem {
     }
 
     /// Performs a load or store by `ctx` at `addr`, starting at `now`.
-    /// Probe events are appended to `events`.
+    /// Probe events in `interest` are appended to `events`.
     pub fn access(
         &mut self,
         ctx: ContextId,
         addr: u64,
         now: Cycle,
+        interest: Interest,
         events: &mut Vec<ProbeEvent>,
     ) -> MemAccess {
         let core = ctx.core() as usize;
-        let l1_out = self.l1[core].access(addr, ctx);
-        if l1_out.hit {
+        if self.l1[core].access(addr, ctx).hit {
             return MemAccess {
                 latency: self.l1_hit_latency,
                 l1_hit: true,
                 l2_hit: false,
             };
         }
-        let l2_out = self.l2[core].access(addr, ctx);
-        let block = self.l2[core].block_address(addr);
-        if self.trace_l2_accesses {
-            events.push(ProbeEvent::CacheAccess {
-                cycle: now,
-                level: CacheLevel::L2,
-                core: ctx.core(),
-                ctx,
-                block,
-                hit: l2_out.hit,
-            });
-        }
-        if l2_out.hit {
+        let l2_hit = self.l2_access(ctx, addr, now, interest, events);
+        if l2_hit {
             return MemAccess {
                 latency: self.l1_hit_latency + self.l2_hit_latency,
                 l1_hit: false,
                 l2_hit: true,
             };
         }
-        if let Some((victim_block, victim_owner)) = l2_out.victim {
-            events.push(ProbeEvent::CacheReplacement {
-                cycle: now,
-                level: CacheLevel::L2,
-                core: ctx.core(),
-                set: l2_out.set,
-                replacer: ctx,
-                new_block: block,
-                victim_block,
-                victim_owner,
-            });
-        }
         // Miss: go over the shared bus to DRAM.
         let issue = now + self.l1_hit_latency + self.l2_hit_latency;
         let grant = self.bus.transaction(issue);
-        events.push(ProbeEvent::BusTransaction {
-            cycle: grant.start,
-            ctx,
-            wait: grant.wait,
-        });
+        if interest.contains(Interest::BUS_TRANSACTIONS) {
+            events.push(ProbeEvent::BusTransaction {
+                cycle: grant.start,
+                ctx,
+                wait: grant.wait,
+            });
+        }
         let done = grant.release + self.dram_latency;
         MemAccess {
             latency: done - now,
@@ -147,7 +121,7 @@ impl MemorySystem {
 
     /// Performs an atomic unaligned access spanning the two lines at `addr`
     /// and `addr + line`: acquires the bus lock, emitting a
-    /// [`ProbeEvent::BusLock`].
+    /// [`ProbeEvent::BusLock`] when `interest` covers it.
     ///
     /// Returns the end-to-end latency.
     pub fn atomic_unaligned(
@@ -155,48 +129,66 @@ impl MemorySystem {
         ctx: ContextId,
         addr: u64,
         now: Cycle,
+        interest: Interest,
         events: &mut Vec<ProbeEvent>,
     ) -> u64 {
         let grant = self.bus.lock(now);
-        events.push(ProbeEvent::BusLock {
-            cycle: grant.start,
-            ctx,
-            hold: grant.release - grant.start,
-        });
+        if interest.contains(Interest::BUS_LOCKS) {
+            events.push(ProbeEvent::BusLock {
+                cycle: grant.start,
+                ctx,
+                hold: grant.release - grant.start,
+            });
+        }
         // Keep the two touched lines warm in the local hierarchy (their
         // fills ride inside the locked window; no separate bus grant).
         let core = ctx.core() as usize;
         let line = self.l1[core].config().line_bytes;
         for a in [addr, addr + line] {
-            let l1_out = self.l1[core].access(a, ctx);
-            if !l1_out.hit {
-                let l2_out = self.l2[core].access(a, ctx);
-                let block = self.l2[core].block_address(a);
-                if self.trace_l2_accesses {
-                    events.push(ProbeEvent::CacheAccess {
-                        cycle: grant.start,
-                        level: CacheLevel::L2,
-                        core: ctx.core(),
-                        ctx,
-                        block,
-                        hit: l2_out.hit,
-                    });
-                }
-                if let Some((victim_block, victim_owner)) = l2_out.victim {
-                    events.push(ProbeEvent::CacheReplacement {
-                        cycle: grant.start,
-                        level: CacheLevel::L2,
-                        core: ctx.core(),
-                        set: l2_out.set,
-                        replacer: ctx,
-                        new_block: block,
-                        victim_block,
-                        victim_owner,
-                    });
-                }
+            if !self.l1[core].access(a, ctx).hit {
+                self.l2_access(ctx, a, grant.start, interest, events);
             }
         }
         grant.release + self.dram_latency - now
+    }
+
+    /// Accesses `ctx`'s L2 at `addr` after an L1 miss, stamping the probe
+    /// events (when `interest` covers the core's L2) at `at`. Returns
+    /// whether the access hit.
+    fn l2_access(
+        &mut self,
+        ctx: ContextId,
+        addr: u64,
+        at: Cycle,
+        interest: Interest,
+        events: &mut Vec<ProbeEvent>,
+    ) -> bool {
+        let l2 = &mut self.l2[ctx.core() as usize];
+        let out = l2.access(addr, ctx);
+        if interest.contains(Interest::l2(ctx.core())) {
+            let block = l2.block_address(addr);
+            events.push(ProbeEvent::CacheAccess {
+                cycle: at,
+                level: CacheLevel::L2,
+                core: ctx.core(),
+                ctx,
+                block,
+                hit: out.hit,
+            });
+            if let Some((victim_block, victim_owner)) = out.victim {
+                events.push(ProbeEvent::CacheReplacement {
+                    cycle: at,
+                    level: CacheLevel::L2,
+                    core: ctx.core(),
+                    set: out.set,
+                    replacer: ctx,
+                    new_block: block,
+                    victim_block,
+                    victim_owner,
+                });
+            }
+        }
+        out.hit
     }
 }
 
@@ -217,7 +209,7 @@ mod tests {
     fn cold_access_goes_to_dram() {
         let mut m = sys();
         let mut ev = Vec::new();
-        let out = m.access(ctx(), 0x1000, Cycle::new(0), &mut ev);
+        let out = m.access(ctx(), 0x1000, Cycle::new(0), Interest::ALL, &mut ev);
         assert!(!out.l1_hit && !out.l2_hit);
         // l1 + l2 + bus transaction + dram.
         assert_eq!(out.latency, 3 + 15 + 36 + 160);
@@ -233,8 +225,8 @@ mod tests {
     fn warm_access_hits_l1() {
         let mut m = sys();
         let mut ev = Vec::new();
-        m.access(ctx(), 0x1000, Cycle::new(0), &mut ev);
-        let out = m.access(ctx(), 0x1000, Cycle::new(500), &mut ev);
+        m.access(ctx(), 0x1000, Cycle::new(0), Interest::ALL, &mut ev);
+        let out = m.access(ctx(), 0x1000, Cycle::new(500), Interest::ALL, &mut ev);
         assert!(out.l1_hit);
         assert_eq!(out.latency, 3);
     }
@@ -247,10 +239,10 @@ mod tests {
         // one L1 set; L2 has 512 sets so these spread across L2 sets 0,64,...
         // wrapping: 4096/64 = 64 line-index stride → L2 sets differ).
         for i in 0..9u64 {
-            m.access(ctx(), i * 4096, Cycle::new(0), &mut ev);
+            m.access(ctx(), i * 4096, Cycle::new(0), Interest::ALL, &mut ev);
         }
         // First address was evicted from 8-way L1 but still lives in L2.
-        let out = m.access(ctx(), 0, Cycle::new(1_000), &mut ev);
+        let out = m.access(ctx(), 0, Cycle::new(1_000), Interest::ALL, &mut ev);
         assert!(!out.l1_hit);
         assert!(out.l2_hit);
         assert_eq!(out.latency, 3 + 15);
@@ -260,12 +252,12 @@ mod tests {
     fn atomic_unaligned_locks_bus_and_delays_others() {
         let mut m = sys();
         let mut ev = Vec::new();
-        let lat = m.atomic_unaligned(ctx(), 0x2000, Cycle::new(0), &mut ev);
+        let lat = m.atomic_unaligned(ctx(), 0x2000, Cycle::new(0), Interest::ALL, &mut ev);
         assert!(lat >= 400, "lock hold dominates latency, got {lat}");
         assert!(ev.iter().any(|e| matches!(e, ProbeEvent::BusLock { .. })));
         // A miss from another core right behind the lock waits it out.
         let other = ContextId::new(1, 0);
-        let out = m.access(other, 0x9000, Cycle::new(10), &mut ev);
+        let out = m.access(other, 0x9000, Cycle::new(10), Interest::ALL, &mut ev);
         assert!(
             out.latency > 400,
             "load behind a bus lock should stall, got {}",
@@ -285,6 +277,7 @@ mod tests {
                 ctx(),
                 0x10_0000 + i * 32 * 1024,
                 Cycle::new(i * 1000),
+                Interest::ALL,
                 &mut ev,
             );
         }
@@ -305,15 +298,20 @@ mod tests {
     }
 
     #[test]
-    fn tracing_can_be_disabled() {
+    fn events_outside_the_interest_are_not_built() {
         let mut m = sys();
-        m.trace_l2_accesses = false;
         let mut ev = Vec::new();
-        m.access(ctx(), 0x1000, Cycle::new(0), &mut ev);
+        m.access(
+            ctx(),
+            0x1000,
+            Cycle::new(0),
+            Interest::BUS_TRANSACTIONS,
+            &mut ev,
+        );
         assert!(!ev
             .iter()
             .any(|e| matches!(e, ProbeEvent::CacheAccess { .. })));
-        // Bus transaction still visible.
+        // The bus transaction is wanted and built.
         assert!(ev
             .iter()
             .any(|e| matches!(e, ProbeEvent::BusTransaction { .. })));

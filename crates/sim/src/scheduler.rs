@@ -90,13 +90,14 @@ impl ContextSched {
         }
     }
 
-    /// Moves every sleeping thread whose wake time has passed back to the
-    /// run queue; returns how many woke.
-    pub fn wake_due(&mut self, now: Cycle, wake_time: impl Fn(ThreadId) -> Cycle) -> usize {
+    /// Moves every sleeping thread for which `due` returns true back to the
+    /// run queue, in sleeping-list order with swap-removal; returns how many
+    /// woke. `due` may update the thread's own state as it decides.
+    pub fn wake_due(&mut self, mut due: impl FnMut(ThreadId) -> bool) -> usize {
         let mut woke = 0;
         let mut i = 0;
         while i < self.sleeping.len() {
-            if wake_time(self.sleeping[i]) <= now {
+            if due(self.sleeping[i]) {
                 let tid = self.sleeping.swap_remove(i);
                 self.queue.push_back(tid);
                 woke += 1;
@@ -132,8 +133,7 @@ mod tests {
     fn wake_due_moves_expired_sleepers() {
         let mut ctx = ContextSched::new();
         ctx.sleeping = vec![1, 2, 3];
-        let wake = |t: ThreadId| Cycle::new(t as u64 * 100);
-        let woke = ctx.wake_due(Cycle::new(250), wake);
+        let woke = ctx.wake_due(|t| Cycle::new(t as u64 * 100) <= Cycle::new(250));
         assert_eq!(woke, 2);
         assert_eq!(ctx.sleeping, vec![3]);
         assert_eq!(ctx.queue.len(), 2);
