@@ -94,10 +94,6 @@ impl PatternClusters {
     }
 }
 
-/// Below this many feature vectors the assignment step stays serial — the
-/// fan-out cost of [`threadpool::par_map`] only pays off on wide windows.
-const PAR_ASSIGN_MIN: usize = 64;
-
 /// Index of the centroid nearest to `point` (first wins on exact ties —
 /// the tie-break every caller, serial or parallel, must share for
 /// assignments to be reproducible).
@@ -142,17 +138,15 @@ fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> usize {
 
 /// Deterministic k-means (k-means++ seeding) over feature vectors.
 ///
-/// The assignment step fans out across the process thread pool for large
-/// inputs; because each point's nearest centroid is computed independently
-/// (same arithmetic, same tie-break) and results land at their input index,
-/// the output is bit-identical to serial execution for any thread count.
-/// The centroid-update accumulation stays serial to keep floating-point
-/// summation order fixed.
+/// Runs serially: one point's nearest-centroid scan costs ~0.1 µs, less
+/// than a thread-pool dispatch, so the output never depends on the
+/// thread count. The centroid-update accumulation keeps a fixed
+/// floating-point summation order.
 ///
 /// # Panics
 ///
 /// Panics if `k` is zero or feature vectors have inconsistent lengths.
-pub fn kmeans<F: AsRef<[f64]> + Sync>(
+pub fn kmeans<F: AsRef<[f64]>>(
     features: &[F],
     k: usize,
     seed: u64,
@@ -237,19 +231,10 @@ pub fn kmeans<F: AsRef<[f64]> + Sync>(
     let mut sums = vec![0.0f64; k * dim];
     let mut counts = vec![0usize; k];
     for _ in 0..max_iterations {
-        // Assign: independent per point, so safe to parallelize.
+        // Assign: each point to its nearest centroid, serially — one
+        // distance scan per point is far cheaper than a pool dispatch.
         let mut changed = false;
         if let Some(nearest) = precomputed.take() {
-            for (a, n) in assignments.iter_mut().zip(&nearest) {
-                if *a != *n {
-                    *a = *n;
-                    changed = true;
-                }
-            }
-        } else if features.len() >= PAR_ASSIGN_MIN {
-            let centroids = &centroids;
-            let nearest: Vec<usize> =
-                threadpool::par_map(features, |f| nearest_centroid(f.as_ref(), centroids));
             for (a, n) in assignments.iter_mut().zip(&nearest) {
                 if *a != *n {
                     *a = *n;
@@ -414,7 +399,7 @@ pub fn discretized_features_into(histogram: &DensityHistogram, out: &mut Vec<f64
 /// bursty feature sequence it returns the same verdict, which is what lets
 /// the daemon skip re-clustering when a pushed or evicted quantum leaves
 /// that sequence unchanged.
-pub fn recurrence_from_features<F: AsRef<[f64]> + Sync>(
+pub fn recurrence_from_features<F: AsRef<[f64]>>(
     windows: usize,
     bursty_features: &[F],
     config: &ClusterConfig,
@@ -499,7 +484,7 @@ mod tests {
     /// assignment scan per iteration, per-cluster `Vec` accumulators —
     /// kept as the oracle the optimized `kmeans` must match bit-for-bit
     /// (same seeded choices, same assignments, same centroid floats).
-    fn kmeans_reference<F: AsRef<[f64]> + Sync>(
+    fn kmeans_reference<F: AsRef<[f64]>>(
         features: &[F],
         k: usize,
         seed: u64,

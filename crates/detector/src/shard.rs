@@ -576,6 +576,16 @@ fn shard_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard-{shard:02}"))
 }
 
+/// The per-shard supervisor configuration: the coordinator owns the retry
+/// budget, so shards probe their mailbox exactly once, and each shard gets
+/// its own seed derived from `base.seed`.
+fn shard_supervisor_config(base: &SupervisorConfig, shard: usize) -> SupervisorConfig {
+    let mut cfg = *base;
+    cfg.backoff.max_retries = 0;
+    cfg.seed = mix_seed(base.seed, shard as u64, 0x5AD0_C0DE);
+    cfg
+}
+
 fn shard_label(shard: usize) -> String {
     shard.to_string()
 }
@@ -736,26 +746,15 @@ impl ShardedFleet {
         Ok(fleet)
     }
 
-    /// The per-shard supervisor configuration: the coordinator owns the
-    /// retry budget, so shards probe their mailbox exactly once.
-    fn shard_supervisor_config(&self, shard: usize) -> SupervisorConfig {
-        let mut cfg = self.config.base;
-        cfg.backoff.max_retries = 0;
-        cfg.seed = mix_seed(self.config.base.seed, shard as u64, 0x5AD0_C0DE);
-        cfg
-    }
-
     fn build_shard(
         config: &ShardedFleetConfig,
         root: Option<&Path>,
         medium: Option<&Arc<dyn StorageMedium>>,
         index: usize,
     ) -> Result<Shard, DetectorError> {
-        let mut shard_cfg = config.base;
-        shard_cfg.backoff.max_retries = 0;
-        shard_cfg.seed = mix_seed(config.base.seed, index as u64, 0x5AD0_C0DE);
         let registry = Registry::new();
-        let mut supervisor = Supervisor::new(shard_cfg)?.with_registry(registry.clone());
+        let mut supervisor = Supervisor::new(shard_supervisor_config(&config.base, index))?
+            .with_registry(registry.clone());
         if let Some(root) = root {
             let owner = format!("shard-{index:02}");
             let store = match medium {
@@ -1461,7 +1460,7 @@ impl ShardedFleet {
         // temporary exclusive claim (the dead supervisor just released
         // its own). Any failure here degrades the migration, never
         // aborts it.
-        let recover_cfg = self.shard_supervisor_config(victim);
+        let recover_cfg = shard_supervisor_config(&self.config.base, victim);
         let recovered: Vec<PairSnapshot> = match &self.store_root {
             Some(root) => {
                 let dir = shard_dir(root, victim);
@@ -2046,6 +2045,7 @@ mod tests {
     use super::*;
     use crate::density::{DensityHistogram, HISTOGRAM_BINS};
     use crate::policy::BackoffConfig;
+    use crate::supervisor::PairOutcome;
 
     fn covert_histogram() -> DensityHistogram {
         let mut bins = vec![0u64; HISTOGRAM_BINS];
@@ -2162,6 +2162,66 @@ mod tests {
         // Every pair still got its input analyzed (degraded, not dropped).
         let shard_report = report.shard_reports[0].as_ref().unwrap();
         assert_eq!(shard_report.reports.len(), 5);
+    }
+
+    #[test]
+    fn coordinator_owns_probe_retries() {
+        // `test_config` grants two retries; the probe fails on attempts 0
+        // and 1 and delivers on attempt 2.
+        let mut fleet = ShardedFleet::new(test_config(1)).unwrap();
+        fleet
+            .add_contention_pair("memory-bus: flaky probe")
+            .unwrap();
+        let mut flaky = |_pair: usize, _tick: u64, attempt: u32| {
+            if attempt < 2 {
+                return Err(ProbeFault {
+                    reason: "transient read-out failure".to_string(),
+                });
+            }
+            Ok(PairInput::Harvest(Harvest::Complete(covert_histogram())))
+        };
+        for tick in 1..=6u64 {
+            let report = fleet.tick(&mut flaky);
+            let pair = &report.shard_reports[0].as_ref().unwrap().reports[0];
+            assert!(
+                matches!(pair.outcome, PairOutcome::Analyzed(_)),
+                "the third attempt's harvest is analysed: {:?}",
+                pair.outcome
+            );
+            assert_eq!(pair.retries, 0, "the shard supervisor never retries");
+            let snap = fleet.metrics_snapshot();
+            assert_eq!(snap.retries, 2 * tick, "two retries per tick, counted once");
+            assert_eq!(snap.analyzed, tick);
+        }
+    }
+
+    #[test]
+    fn exhausted_coordinator_retries_deliver_a_miss() {
+        let mut fleet = ShardedFleet::new(test_config(1)).unwrap();
+        fleet.add_contention_pair("memory-bus: dead probe").unwrap();
+        let mut attempts = 0u32;
+        let mut dead = |_pair: usize, _tick: u64, _attempt: u32| -> Result<PairInput, ProbeFault> {
+            attempts += 1;
+            Err(ProbeFault {
+                reason: "hardware interface wedged".to_string(),
+            })
+        };
+        let report = fleet.tick(&mut dead);
+        let pair = &report.shard_reports[0].as_ref().unwrap().reports[0];
+        assert!(
+            matches!(
+                &pair.outcome,
+                PairOutcome::Degraded { error: DetectorError::BadHarvest { reason }, .. }
+                    if reason.contains("probe missed")
+            ),
+            "the shard analyses a miss: {:?}",
+            pair.outcome
+        );
+        assert_eq!(attempts, 3, "one probe plus the coordinator's two retries");
+        let snap = fleet.metrics_snapshot();
+        assert_eq!(snap.retries, 2);
+        assert_eq!(snap.analyzed, 0);
+        assert_eq!(snap.degraded, 1);
     }
 
     #[test]
