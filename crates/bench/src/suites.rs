@@ -221,7 +221,7 @@ fn bench_sharded_tick(c: &mut Criterion) {
     // The same 8-pair steady-state workload as `supervisor_tick`, run
     // through the sharded coordinator with a single shard: the measured
     // delta over the flat supervisor is the pure cost of the coordinator
-    // layer (global probe + mailbox hand-off + heartbeat settle). The
+    // layer (per-shard probe phase + settle fan-out + heartbeat settle). The
     // second shape spreads 64 pairs across 8 failure domains — the
     // per-tick cost of a realistically partitioned fleet.
     let histograms: Vec<DensityHistogram> = (0..8)

@@ -134,7 +134,7 @@ pub use span::{Span, TraceEvent, Tracer};
 pub use store::{classify_io, CheckpointStore, DiskMedium, StorageFaultKind, StorageMedium};
 pub use supervisor::{
     Durability, FleetStatus, IngestSnapshot, LatencySummary, MetricsSnapshot, PairInput, PairKind,
-    PairSnapshot, ProbeFault, ProbeSource, RecoveredFleet, Supervisor, SupervisorConfig,
+    ProbeFault, ProbeSource, Supervisor, SupervisorConfig,
 };
 pub use trace::TraceError;
 

@@ -19,18 +19,18 @@
 //!   ([`CheckpointStore::open_exclusive`]), its own metrics [`Registry`]
 //!   (scraped with a `shard="N"` label), its own optional
 //!   [`IngestPipeline`], and its own [`MitigationEnforcer`].
-//! * **Hand-off** — the coordinator probes each pair once per tick
-//!   (owning the retry/backoff budget) and enqueues inputs into bounded
-//!   per-shard mailboxes. Overload converts [`Harvest::Complete`] into
-//!   [`Harvest::Partial`] backpressure — wider verdict uncertainty — and
-//!   never blocks the coordinator or silently drops a pair's input.
+//! * **One probe path** — each tick the coordinator runs every live
+//!   shard's probe phase serially against the caller's [`ProbeSource`],
+//!   with local slots mapped to global pair indices, so the shard
+//!   supervisor's own breaker and retry/backoff loop is the only one; the
+//!   shards then settle (analyse, convict, checkpoint) in parallel.
 //! * **Heartbeats** — shard ticks fan out under `catch_unwind` with a
 //!   wall-clock deadline budget. A panicked or over-deadline shard tick is
 //!   a heartbeat miss; [`ShardedFleetConfig::dead_after`] consecutive
 //!   misses declare the shard dead.
 //! * **Migration** — a dead shard's pairs are restored onto survivors
-//!   from its checkpoint store ([`Supervisor::recover_pairs`] →
-//!   [`Supervisor::import_pair`]), rolling back over corrupt generations.
+//!   from its checkpoint store (`Supervisor::recover_pairs` →
+//!   `Supervisor::import_pair`), rolling back over corrupt generations.
 //!   An active containment re-asserts through the adoptive shard's
 //!   enforcer, exactly like a crash-restore. Pairs whose checkpoints are
 //!   unrecoverable are re-created *degraded*: their Clean verdicts floor
@@ -51,16 +51,15 @@ use crate::metrics::{
     render_prometheus_merged, Counter, Family, Gauge, Histogram, Registry, LATENCY_BUCKETS_US,
 };
 use crate::mitigation::{AdvisoryEnforcer, ContainmentState, MitigationEnforcer};
-use crate::online::Harvest;
 use crate::pipeline::Verdict;
 use crate::policy::{
-    backoff_delay, mix_seed, BreakerState, SuspicionConfig, SuspicionTracker, SuspicionTransition,
+    mix_seed, BreakerState, SuspicionConfig, SuspicionTracker, SuspicionTransition,
 };
 use crate::span::{self, Tracer};
 use crate::store::{CheckpointStore, StorageMedium};
 use crate::supervisor::{
     IngestSnapshot, LatencySummary, MetricsSnapshot, PairInput, PairKind, PairSnapshot, PairStatus,
-    ProbeFault, ProbeSource, RestoredFrom, Supervisor, SupervisorConfig, TickReport,
+    ProbeFault, ProbeSource, ProbedTick, RestoredFrom, Supervisor, SupervisorConfig, TickReport,
 };
 use crate::DetectorError;
 use std::path::{Path, PathBuf};
@@ -73,16 +72,9 @@ pub struct ShardedFleetConfig {
     /// Number of shard supervisors (failure domains). See
     /// [`shard_count_from_env`] for the `CCHUNTER_SHARDS` knob.
     pub shards: usize,
-    /// The per-shard supervisor configuration. The coordinator owns the
-    /// probe retry/backoff budget, so shard supervisors run with
-    /// `backoff.max_retries = 0` regardless of what `base` says.
+    /// The per-shard supervisor configuration (each shard derives its
+    /// own seed from `base.seed`).
     pub base: SupervisorConfig,
-    /// Per-shard, per-tick mailbox capacity; inputs beyond it are degraded
-    /// to partial harvests (backpressure), never dropped. 0 = unbounded.
-    pub mailbox_capacity: usize,
-    /// The `lost_fraction` widening applied to an input degraded by
-    /// mailbox overflow, in `[0, 1]`.
-    pub overflow_loss: f64,
     /// Wall-clock budget for one whole shard tick, in microseconds; an
     /// over-budget tick is a heartbeat miss. 0 disables the deadline.
     pub shard_deadline_us: u64,
@@ -110,8 +102,6 @@ impl Default for ShardedFleetConfig {
         ShardedFleetConfig {
             shards: 4,
             base: SupervisorConfig::default(),
-            mailbox_capacity: 0,
-            overflow_loss: 0.25,
             shard_deadline_us: 0,
             dead_after: 3,
             keep_generations: 4,
@@ -165,11 +155,6 @@ impl ShardedFleetConfig {
         if self.shards == 0 || self.shards > MAX_SHARDS {
             return Err(DetectorError::InvalidConfig {
                 reason: format!("shard count {} out of range 1..={MAX_SHARDS}", self.shards),
-            });
-        }
-        if !self.overflow_loss.is_finite() || !(0.0..=1.0).contains(&self.overflow_loss) {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!("overflow loss {} out of [0, 1]", self.overflow_loss),
             });
         }
         if self.dead_after == 0 {
@@ -325,8 +310,6 @@ pub struct FleetTickReport {
     pub deaths: Vec<usize>,
     /// What this tick's migrations did (zeros when nothing died).
     pub migration: MigrationReport,
-    /// Inputs degraded to partial harvests by mailbox overflow.
-    pub overflow_degraded: usize,
     /// Shards that *became* suspected this tick (latency-SLO breach
     /// streak completed).
     pub suspected: Vec<usize>,
@@ -440,8 +423,6 @@ struct CoordinatorMetrics {
     shard_deaths: Counter,
     migrated_pairs: Counter,
     degraded_imports: Counter,
-    mailbox_overflow: Counter,
-    probe_retries: Counter,
     suspected_shards: Gauge,
     drained_pairs: Counter,
     rebalanced_pairs: Counter,
@@ -485,14 +466,6 @@ impl CoordinatorMetrics {
             degraded_imports: registry.counter(
                 "cchunter_fleet_degraded_imports_total",
                 "Migrated pairs whose checkpoints were unrecoverable.",
-            ),
-            mailbox_overflow: registry.counter(
-                "cchunter_fleet_mailbox_overflow_total",
-                "Inputs degraded to partial harvests by mailbox overflow.",
-            ),
-            probe_retries: registry.counter(
-                "cchunter_fleet_probe_retries_total",
-                "Coordinator-side probe retries across all pairs.",
             ),
             suspected_shards: registry.gauge(
                 "cchunter_fleet_suspected_shards",
@@ -576,12 +549,10 @@ fn shard_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard-{shard:02}"))
 }
 
-/// The per-shard supervisor configuration: the coordinator owns the retry
-/// budget, so shards probe their mailbox exactly once, and each shard gets
-/// its own seed derived from `base.seed`.
+/// The per-shard supervisor configuration: `base` with a seed of the
+/// shard's own, derived from `base.seed`.
 fn shard_supervisor_config(base: &SupervisorConfig, shard: usize) -> SupervisorConfig {
     let mut cfg = *base;
-    cfg.backoff.max_retries = 0;
     cfg.seed = mix_seed(base.seed, shard as u64, 0x5AD0_C0DE);
     cfg
 }
@@ -590,48 +561,19 @@ fn shard_label(shard: usize) -> String {
     shard.to_string()
 }
 
-/// Replays a pre-probed mailbox into a shard supervisor's probe loop.
-/// Slots are taken at most once; anything unfilled (or re-probed) is a
-/// miss — shard supervisors run with zero retries, so the coordinator's
-/// retry budget is the only one.
-struct MailboxSource {
-    slots: Vec<Option<PairInput>>,
+/// The coordinator's probe source as one shard supervisor sees it: the
+/// supervisor's local slot maps to the pair's global index, and the tick
+/// is the coordinator's (sources key on it; a shard's own tick counter
+/// restarts when it revives).
+struct ShardSource<'a, S: ?Sized> {
+    source: &'a mut S,
+    slots: &'a [usize],
+    tick: u64,
 }
 
-impl ProbeSource for MailboxSource {
-    fn probe(&mut self, pair: usize, _tick: u64, _attempt: u32) -> Result<PairInput, ProbeFault> {
-        Ok(self
-            .slots
-            .get_mut(pair)
-            .and_then(Option::take)
-            .unwrap_or(PairInput::Missed))
-    }
-}
-
-/// Degrades an input under mailbox overflow: complete evidence widens to
-/// partial (the backpressure signal), already-partial evidence widens
-/// further; nothing is dropped.
-fn degrade_for_overflow(input: PairInput, loss: f64) -> PairInput {
-    match input {
-        PairInput::Harvest(Harvest::Complete(histogram)) => PairInput::Harvest(Harvest::Partial {
-            histogram,
-            lost_fraction: loss,
-        }),
-        PairInput::Harvest(Harvest::Partial {
-            histogram,
-            lost_fraction,
-        }) => PairInput::Harvest(Harvest::Partial {
-            histogram,
-            lost_fraction: (lost_fraction + loss).min(1.0),
-        }),
-        PairInput::Conflicts {
-            records,
-            lost_fraction,
-        } => PairInput::Conflicts {
-            records,
-            lost_fraction: (lost_fraction + loss).min(1.0),
-        },
-        other => other,
+impl<S: ProbeSource + ?Sized> ProbeSource for ShardSource<'_, S> {
+    fn probe(&mut self, slot: usize, _tick: u64, attempt: u32) -> Result<PairInput, ProbeFault> {
+        self.source.probe(self.slots[slot], self.tick, attempt)
     }
 }
 
@@ -675,7 +617,7 @@ impl ShardedFleet {
     /// # Errors
     ///
     /// Returns [`DetectorError::InvalidConfig`] for an out-of-range shard
-    /// count, overflow loss, or per-shard configuration.
+    /// count or per-shard configuration.
     pub fn new(config: ShardedFleetConfig) -> Result<Self, DetectorError> {
         Self::build(config, None, None)
     }
@@ -896,7 +838,8 @@ impl ShardedFleet {
     /// the shard is out of range or [`ShardedFleetConfig::ingest`] is
     /// unset). Offer raw events and call
     /// [`IngestPipeline::end_quantum`] between fleet ticks; feed the
-    /// resulting [`Harvest`] back through your [`ProbeSource`].
+    /// resulting [`Harvest`](crate::online::Harvest) back through your
+    /// [`ProbeSource`].
     pub fn ingest_mut(&mut self, shard: usize) -> Option<&mut IngestPipeline> {
         self.shards.get_mut(shard)?.ingest.as_mut()
     }
@@ -957,9 +900,9 @@ impl ShardedFleet {
         Ok(global)
     }
 
-    /// Runs one fleet tick: probes every assigned pair once (coordinator
-    /// retry/backoff), hands inputs to each shard through its bounded
-    /// mailbox, fans shard ticks out under the panic + deadline
+    /// Runs one fleet tick: runs every live shard's probe phase against
+    /// `source` (the shard supervisors' breakers and retry/backoff), fans
+    /// the shards' settle phases out under the panic + deadline
     /// watchdogs, settles heartbeats, and migrates the pairs of any shard
     /// declared dead. Never panics and never blocks on a wedged shard
     /// beyond the deadline fan-out itself.
@@ -969,79 +912,33 @@ impl ShardedFleet {
         let shard_count = self.shards.len();
         let mut tick_span = self.tracer.span("fleet", "tick");
 
-        // Phase A (serial): probe each assigned pair once, with the
-        // coordinator-owned retry/backoff budget, into per-shard bounded
-        // mailboxes.
-        let mut mailboxes: Vec<Vec<(usize, PairInput)>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        let mut overflow_degraded = 0usize;
-        let mut probe_retries = 0u64;
-        for (global, entry) in self.table.iter().enumerate() {
-            let PairHome::Assigned { shard, slot } = entry.home else {
-                continue;
-            };
-            if self.shards[shard].supervisor.is_none() {
-                continue;
-            }
-            let seed = mix_seed(self.config.base.seed, global as u64, tick);
-            let mut attempt: u32 = 0;
-            let input = loop {
-                let result = source.probe(global, tick, attempt);
-                let retryable = match &result {
-                    Ok(input) => matches!(
-                        input,
-                        PairInput::Missed | PairInput::Harvest(Harvest::Missed)
-                    ),
-                    Err(_) => true,
-                };
-                if !retryable {
-                    break result.expect("non-retryable is Ok");
-                }
-                match backoff_delay(&self.config.base.backoff, seed, attempt) {
-                    // Virtual, as in the flat supervisor: the schedule is
-                    // deterministic and recorded, not slept.
-                    Some(_delay) => attempt += 1,
-                    None => break PairInput::Missed,
-                }
-            };
-            probe_retries += u64::from(attempt);
-            let mailbox = &mut mailboxes[shard];
-            let input = if self.config.mailbox_capacity > 0
-                && mailbox.len() >= self.config.mailbox_capacity
-            {
-                overflow_degraded += 1;
-                degrade_for_overflow(input, self.config.overflow_loss)
-            } else {
-                input
-            };
-            mailbox.push((slot, input));
-        }
-        if probe_retries > 0 {
-            self.metrics.probe_retries.inc_by(probe_retries);
-        }
-        if overflow_degraded > 0 {
-            self.metrics
-                .mailbox_overflow
-                .inc_by(overflow_degraded as u64);
-        }
-
-        // Phase B (parallel): one job per live shard, each under
-        // catch_unwind; a panicking shard is contained in its own slot.
+        // Phase A (serial): each live shard's supervisor probes its pairs
+        // through the one source.
         struct ShardJob<'a> {
             shard: &'a mut Shard,
-            mailbox: Vec<(usize, PairInput)>,
+            probed: Option<ProbedTick>,
         }
         let mut jobs: Vec<ShardJob<'_>> = Vec::new();
         let mut job_ids: Vec<usize> = Vec::new();
         for (i, shard) in self.shards.iter_mut().enumerate() {
-            if shard.supervisor.is_some() {
-                jobs.push(ShardJob {
-                    shard,
-                    mailbox: std::mem::take(&mut mailboxes[i]),
-                });
-                job_ids.push(i);
-            }
+            let Some(supervisor) = &shard.supervisor else {
+                continue;
+            };
+            let probed = supervisor.probe_tick(&mut ShardSource {
+                source: &mut *source,
+                slots: &shard.slots,
+                tick,
+            });
+            jobs.push(ShardJob {
+                shard,
+                probed: Some(probed),
+            });
+            job_ids.push(i);
         }
+
+        // Phase B (parallel): each live shard settles its probed tick
+        // under catch_unwind; a panicking shard is contained in its own
+        // slot.
         let results = threadpool::par_catch_map_mut(&mut jobs, |job| {
             if job.shard.chaos_panic_ticks > 0 {
                 job.shard.chaos_panic_ticks -= 1;
@@ -1060,14 +957,8 @@ impl ShardedFleet {
                 .supervisor
                 .as_mut()
                 .expect("jobs are built from live shards");
-            let mut slots: Vec<Option<PairInput>> = vec![None; supervisor.len()];
-            for (slot, input) in job.mailbox.drain(..) {
-                if let Some(cell) = slots.get_mut(slot) {
-                    *cell = Some(input);
-                }
-            }
-            let report = supervisor
-                .tick_with_enforcer(&mut MailboxSource { slots }, job.shard.enforcer.as_mut());
+            let probed = job.probed.take().expect("probed at plan time");
+            let report = supervisor.settle_tick(probed, job.shard.enforcer.as_mut());
             let elapsed_us = shard_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
             (report, elapsed_us)
         });
@@ -1211,7 +1102,6 @@ impl ShardedFleet {
             heartbeat_misses,
             deaths,
             migration,
-            overflow_degraded,
             suspected,
             cleared,
             drained,
@@ -1477,10 +1367,9 @@ impl ShardedFleet {
                     }
                 };
                 match opened {
-                    Ok(store) => match Supervisor::recover_pairs(&recover_cfg, &store) {
-                        Ok(fleet) => fleet.pairs,
-                        Err(_) => Vec::new(),
-                    },
+                    Ok(store) => {
+                        Supervisor::recover_pairs(&recover_cfg, &store).unwrap_or_default()
+                    }
                     Err(_) => Vec::new(),
                 }
             }
@@ -1948,7 +1837,6 @@ impl ShardedFleet {
             ingest.partial_harvests += snap.ingest.partial_harvests;
             ingest.missed_harvests += snap.ingest.missed_harvests;
         }
-        retries += self.metrics.probe_retries.get();
         MetricsSnapshot {
             ticks: self.tick,
             pairs: self.table.len(),
@@ -2044,6 +1932,7 @@ impl ShardedFleet {
 mod tests {
     use super::*;
     use crate::density::{DensityHistogram, HISTOGRAM_BINS};
+    use crate::online::Harvest;
     use crate::policy::BackoffConfig;
     use crate::supervisor::PairOutcome;
 
@@ -2120,14 +2009,26 @@ mod tests {
         assert_eq!(statuses.iter().map(|s| s.pairs).sum::<usize>(), 64);
     }
 
+    /// The verdict an outcome carries, if any.
+    fn outcome_verdict(outcome: &PairOutcome) -> Option<Verdict> {
+        match outcome {
+            PairOutcome::Analyzed(status) | PairOutcome::Degraded { status, .. } => {
+                Some(status.verdict)
+            }
+            PairOutcome::Skipped { .. } | PairOutcome::Failed { .. } => None,
+        }
+    }
+
+    /// A one-shard fleet and a flat supervisor under the same config see
+    /// the same report stream and make the same probe calls: pair 0 is
+    /// covert and its probe fails attempts 0 and 1 on every third tick,
+    /// pair 2's probe is dead (so its breaker opens and it is skipped
+    /// between recovery probes), and the rest deliver every tick.
     #[test]
-    fn single_shard_matches_flat_supervisor_verdicts() {
-        let mut fleet = ShardedFleet::new(test_config(1)).unwrap();
-        let mut flat = Supervisor::new(SupervisorConfig {
-            window_quanta: 8,
-            ..SupervisorConfig::default()
-        })
-        .unwrap();
+    fn single_shard_report_stream_matches_flat_supervisor() {
+        let config = test_config(1);
+        let mut fleet = ShardedFleet::new(config.clone()).unwrap();
+        let mut flat = Supervisor::new(config.base).unwrap();
         for pair in 0..4 {
             fleet
                 .add_contention_pair(format!("memory-bus: pair {pair}"))
@@ -2135,37 +2036,70 @@ mod tests {
             flat.add_contention_pair(format!("memory-bus: pair {pair}"))
                 .unwrap();
         }
-        for _ in 0..16 {
-            fleet.tick(&mut covert_source);
-            flat.tick(&mut covert_source);
+        fn probe(
+            calls: &mut [u64],
+            pair: usize,
+            tick: u64,
+            attempt: u32,
+        ) -> Result<PairInput, ProbeFault> {
+            calls[pair] += 1;
+            let fault = || ProbeFault {
+                reason: "transient read-out failure".to_string(),
+            };
+            match pair {
+                0 if tick.is_multiple_of(3) && attempt < 2 => Err(fault()),
+                2 => Err(fault()),
+                0 | 3 => Ok(PairInput::Harvest(Harvest::Complete(covert_histogram()))),
+                _ => Ok(PairInput::Harvest(Harvest::Complete(quiet_histogram()))),
+            }
         }
-        let sharded: Vec<Verdict> = fleet.pair_statuses().iter().map(|p| p.verdict).collect();
-        let flat: Vec<Verdict> = flat.pair_statuses().iter().map(|p| p.verdict).collect();
-        assert_eq!(sharded, flat);
+        let mut fleet_calls = [0u64; 4];
+        let mut flat_calls = [0u64; 4];
+        let mut fleet_retries = 0u64;
+        let mut skipped = 0usize;
+        for tick in 0..40u64 {
+            let mut report = fleet.tick(&mut |pair: usize, t: u64, attempt: u32| {
+                probe(&mut fleet_calls, pair, t, attempt)
+            });
+            let flat_report = flat.tick(&mut |pair: usize, t: u64, attempt: u32| {
+                probe(&mut flat_calls, pair, t, attempt)
+            });
+            let sharded = report.shard_reports[0].take().unwrap();
+            assert_eq!(sharded.reports.len(), flat_report.reports.len());
+            for (s, f) in sharded.reports.iter().zip(&flat_report.reports) {
+                let at = format!("tick {tick}, pair {}", f.pair);
+                assert_eq!(s.pair, f.pair, "{at}");
+                assert_eq!(
+                    std::mem::discriminant(&s.outcome),
+                    std::mem::discriminant(&f.outcome),
+                    "{at}: {:?} vs {:?}",
+                    s.outcome,
+                    f.outcome
+                );
+                assert_eq!(
+                    outcome_verdict(&s.outcome),
+                    outcome_verdict(&f.outcome),
+                    "{at}"
+                );
+                assert_eq!(s.retries, f.retries, "{at}");
+                assert_eq!(s.health, f.health, "{at}");
+                assert_eq!(s.containment, f.containment, "{at}");
+                fleet_retries += u64::from(s.retries);
+                skipped += usize::from(matches!(s.outcome, PairOutcome::Skipped { .. }));
+            }
+        }
+        assert_eq!(fleet_calls, flat_calls, "probe calls per pair");
+        assert!(skipped > 0, "the dead pair's breaker opened");
+        assert!(
+            flat.containment(0).unwrap().is_active(),
+            "the covert pair was contained"
+        );
+        assert_eq!(fleet.metrics_snapshot().retries, fleet_retries);
+        assert_eq!(flat.metrics_snapshot().retries, fleet_retries);
     }
 
     #[test]
-    fn mailbox_overflow_degrades_instead_of_dropping() {
-        let mut config = test_config(1);
-        config.mailbox_capacity = 2;
-        config.overflow_loss = 0.3;
-        let mut fleet = ShardedFleet::new(config).unwrap();
-        for pair in 0..5 {
-            fleet
-                .add_contention_pair(format!("memory-bus: pair {pair}"))
-                .unwrap();
-        }
-        let report = fleet.tick(&mut |_pair: usize, _tick: u64, _attempt: u32| {
-            Ok::<PairInput, ProbeFault>(PairInput::Harvest(Harvest::Complete(quiet_histogram())))
-        });
-        assert_eq!(report.overflow_degraded, 3);
-        // Every pair still got its input analyzed (degraded, not dropped).
-        let shard_report = report.shard_reports[0].as_ref().unwrap();
-        assert_eq!(shard_report.reports.len(), 5);
-    }
-
-    #[test]
-    fn coordinator_owns_probe_retries() {
+    fn probe_retries_are_counted_once_on_the_pair() {
         // `test_config` grants two retries; the probe fails on attempts 0
         // and 1 and delivers on attempt 2.
         let mut fleet = ShardedFleet::new(test_config(1)).unwrap();
@@ -2188,7 +2122,7 @@ mod tests {
                 "the third attempt's harvest is analysed: {:?}",
                 pair.outcome
             );
-            assert_eq!(pair.retries, 0, "the shard supervisor never retries");
+            assert_eq!(pair.retries, 2, "the pair's report carries its retries");
             let snap = fleet.metrics_snapshot();
             assert_eq!(snap.retries, 2 * tick, "two retries per tick, counted once");
             assert_eq!(snap.analyzed, tick);
@@ -2196,7 +2130,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_coordinator_retries_deliver_a_miss() {
+    fn exhausted_retries_deliver_a_miss() {
         let mut fleet = ShardedFleet::new(test_config(1)).unwrap();
         fleet.add_contention_pair("memory-bus: dead probe").unwrap();
         let mut attempts = 0u32;
@@ -2217,7 +2151,8 @@ mod tests {
             "the shard analyses a miss: {:?}",
             pair.outcome
         );
-        assert_eq!(attempts, 3, "one probe plus the coordinator's two retries");
+        assert_eq!(attempts, 3, "one probe plus two retries");
+        assert_eq!(pair.retries, 2);
         let snap = fleet.metrics_snapshot();
         assert_eq!(snap.retries, 2);
         assert_eq!(snap.analyzed, 0);
@@ -2431,8 +2366,9 @@ mod tests {
     /// Killing and reviving a shard ends with every pair back at its
     /// rendezvous home: the rebalance pass moves at most
     /// `rebalance_per_tick` pairs per tick onto the revived shard, the
-    /// accounting reconciliation holds at every step, and no verdict
-    /// flips to Clean across the moves.
+    /// accounting reconciliation holds at every step, no verdict flips to
+    /// Clean across the moves, and probes always see the coordinator's
+    /// tick.
     #[test]
     fn revive_rebalances_home_pairs_with_bounded_churn() {
         let root = std::env::temp_dir().join(format!(
@@ -2449,8 +2385,24 @@ mod tests {
                 .add_contention_pair(format!("memory-bus: pair {pair}"))
                 .unwrap();
         }
+        // Every probe sees the coordinator's tick, including those of
+        // pairs hosted by the revived shard, whose own tick restarts at 0.
+        let expected = std::cell::Cell::new(0u64);
+        let mut source = |pair: usize, t: u64, attempt: u32| {
+            assert_eq!(
+                t,
+                expected.get(),
+                "pair {pair} probed at a shard-local tick"
+            );
+            covert_source(pair, t, attempt)
+        };
+        let mut tick = |fleet: &mut ShardedFleet| {
+            let report = fleet.tick(&mut source);
+            expected.set(expected.get() + 1);
+            report
+        };
         for _ in 0..6 {
-            fleet.tick(&mut covert_source);
+            tick(&mut fleet);
         }
         fleet.verify_accounting().unwrap();
         fleet.checkpoint().unwrap();
@@ -2460,7 +2412,7 @@ mod tests {
 
         fleet.kill_shard(victim).unwrap();
         fleet.verify_accounting().unwrap();
-        fleet.tick(&mut covert_source);
+        tick(&mut fleet);
         fleet.verify_accounting().unwrap();
 
         let adopted = fleet.revive_shard(victim).unwrap();
@@ -2472,7 +2424,7 @@ mod tests {
         let mut rebalanced_total = 0usize;
         let mut ticks_needed = 0usize;
         for _ in 0..12 {
-            let report = fleet.tick(&mut covert_source);
+            let report = tick(&mut fleet);
             assert!(
                 report.rebalanced <= 2,
                 "churn must respect the per-tick budget: {report:?}"
@@ -2520,11 +2472,6 @@ mod tests {
     fn config_validation_rejects_nonsense() {
         assert!(ShardedFleet::new(ShardedFleetConfig {
             shards: 0,
-            ..ShardedFleetConfig::default()
-        })
-        .is_err());
-        assert!(ShardedFleet::new(ShardedFleetConfig {
-            overflow_loss: 1.5,
             ..ShardedFleetConfig::default()
         })
         .is_err());

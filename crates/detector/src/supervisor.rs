@@ -212,6 +212,29 @@ type AnalysisResult = Result<(OnlineStatus, bool), DetectorError>;
 /// comes back from the panic-catching fan-out.
 type TimedAnalysis = Result<(AnalysisResult, u64), threadpool::JobPanic>;
 
+/// What the probe phase decided for one pair.
+enum Plan {
+    /// The pair's breaker is open: no probe, no analysis this tick.
+    Skip,
+    /// The pair was probed; `input` is the final attempt's result (a miss
+    /// once the retry budget ran out).
+    Analyze {
+        input: PairInput,
+        retries: u32,
+        backoff_us: u64,
+    },
+}
+
+/// The probe phase's result for one tick ([`Supervisor::probe_tick`]),
+/// consumed by [`Supervisor::settle_tick`].
+pub(crate) struct ProbedTick {
+    /// One plan per pair, in pair order.
+    plans: Vec<Plan>,
+    /// Wall-clock microseconds the probe phase took; counted in the tick
+    /// latency.
+    probe_us: u64,
+}
+
 /// How a panicked pair's detector was brought back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Recovery {
@@ -364,7 +387,7 @@ pub struct PairStatus {
 /// re-assertion through the new fleet's enforcer, exactly like a
 /// crash-restore.
 #[derive(Debug, Clone)]
-pub struct PairSnapshot {
+pub(crate) struct PairSnapshot {
     pub(crate) label: String,
     pub(crate) kind: PairKind,
     /// The detector's window checkpoint. `None` means the window was
@@ -392,20 +415,9 @@ impl PairSnapshot {
         self.kind
     }
 
-    /// Whether a window checkpoint was recovered for this pair.
-    pub fn has_window(&self) -> bool {
-        self.window.is_some()
-    }
-
     /// Whether importing this snapshot yields a degraded pair.
     pub fn is_degraded(&self) -> bool {
         self.degraded || self.window.is_none()
-    }
-
-    /// Where the snapshot's window came from, when it was read back from
-    /// a store.
-    pub fn provenance(&self) -> Option<RestoredFrom> {
-        self.provenance
     }
 
     /// Discards the window checkpoint, forcing a degraded import: the
@@ -416,21 +428,6 @@ impl PairSnapshot {
         self.degraded = true;
         self
     }
-}
-
-/// Everything [`Supervisor::recover_pairs`] could read back about a
-/// (possibly dead) fleet from its checkpoint store.
-#[derive(Debug, Clone)]
-pub struct RecoveredFleet {
-    /// The tick counter the fleet had checkpointed.
-    pub tick: u64,
-    /// Manifest provenance (generation loaded, corrupt generations rolled
-    /// over).
-    pub manifest: RestoredFrom,
-    /// Recovered pair snapshots, in the dead fleet's pair order. Pairs
-    /// whose windows were unrecoverable are present with
-    /// [`PairSnapshot::has_window`] `== false`, never silently dropped.
-    pub pairs: Vec<PairSnapshot>,
 }
 
 /// Report of a [`Supervisor::restore`]: which generations the fleet state
@@ -1037,12 +1034,6 @@ impl Supervisor {
         self.ingest_stats.push(stats);
     }
 
-    /// Builder-style [`Supervisor::attach_ingest_stats`].
-    pub fn with_ingest_stats(mut self, stats: IngestStats) -> Self {
-        self.attach_ingest_stats(stats);
-        self
-    }
-
     /// The registry this fleet's instruments live in.
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -1171,45 +1162,22 @@ impl Supervisor {
         source: &mut S,
         enforcer: &mut E,
     ) -> TickReport {
-        let tick = self.tick;
-        let deadline_us = self.config.deadline_us;
-        let tick_started = Instant::now();
-        let mut tick_span = self.tracer.span("supervisor", "tick");
+        let probed = self.probe_tick(source);
+        self.settle_tick(probed, enforcer)
+    }
 
-        // Phase 1 (serial): decide skips, probe with retry + backoff.
-        enum Plan {
-            Skip {
-                confidence: f64,
-            },
-            Analyze {
-                input: PairInput,
-                retries: u32,
-                backoff_us: u64,
-            },
-        }
-        let mut plans: Vec<Plan> = Vec::with_capacity(self.pairs.len());
-        for (idx, pair) in self.pairs.iter_mut().enumerate() {
+    /// The serial first phase of a tick: decides which pairs their
+    /// breakers skip and probes the rest through `source`, retrying misses
+    /// and faults under the backoff policy. It changes no state, so a
+    /// sharded fleet can run it for every shard from one source before
+    /// the shards settle in parallel.
+    pub(crate) fn probe_tick<S: ProbeSource + ?Sized>(&self, source: &mut S) -> ProbedTick {
+        let started = Instant::now();
+        let tick = self.tick;
+        let mut plans = Vec::with_capacity(self.pairs.len());
+        for (idx, pair) in self.pairs.iter().enumerate() {
             if !pair.breaker.should_attempt(tick) {
-                pair.quarantine_confidence *= pair.breaker.config().confidence_decay;
-                self.metrics.quarantine_skips.with_label(&pair.label).inc();
-                self.totals.quarantine_skips.inc();
-                self.metrics
-                    .confidence
-                    .with_label(&pair.label)
-                    .set(pair.quarantine_confidence);
-                if self.tracer.is_enabled() {
-                    self.tracer.event(
-                        "supervisor",
-                        "quarantine-skip",
-                        format_args!(
-                            "{} (confidence {:.3})",
-                            pair.label, pair.quarantine_confidence
-                        ),
-                    );
-                }
-                plans.push(Plan::Skip {
-                    confidence: pair.quarantine_confidence,
-                });
+                plans.push(Plan::Skip);
                 continue;
             }
             let seed = mix_seed(self.config.seed, idx as u64, tick);
@@ -1235,13 +1203,75 @@ impl Supervisor {
                     None => break PairInput::Missed,
                 }
             };
-            pair.retries += attempt as u64;
+            plans.push(Plan::Analyze {
+                input,
+                retries: attempt,
+                backoff_us,
+            });
+        }
+        ProbedTick {
+            plans,
+            probe_us: started.elapsed().as_micros().min(u64::MAX as u128) as u64,
+        }
+    }
+
+    /// The second phase of a tick: records the probe phase's skips and
+    /// retries, runs every planned analysis under the watchdogs, settles
+    /// breakers, verdicts and containment, and (when due) auto-checkpoints.
+    pub(crate) fn settle_tick<E: MitigationEnforcer + ?Sized>(
+        &mut self,
+        probed: ProbedTick,
+        enforcer: &mut E,
+    ) -> TickReport {
+        let tick = self.tick;
+        let deadline_us = self.config.deadline_us;
+        let settle_started = Instant::now();
+        let mut tick_span = self.tracer.span("supervisor", "tick");
+        debug_assert_eq!(probed.plans.len(), self.pairs.len());
+
+        // Record the probe phase and hand each probed input to its
+        // analysis job. Jobs are per-pair &mut state.
+        struct Job<'a> {
+            pair: &'a mut Pair,
+            input: Option<PairInput>,
+        }
+        let mut jobs: Vec<Job<'_>> = Vec::new();
+        // Per pair: `None` when skipped, else its (retries, backoff µs).
+        let mut probes: Vec<Option<(u32, u64)>> = Vec::with_capacity(self.pairs.len());
+        for (pair, plan) in self.pairs.iter_mut().zip(probed.plans) {
+            let Plan::Analyze {
+                input,
+                retries,
+                backoff_us,
+            } = plan
+            else {
+                pair.quarantine_confidence *= pair.breaker.config().confidence_decay;
+                self.metrics.quarantine_skips.with_label(&pair.label).inc();
+                self.totals.quarantine_skips.inc();
+                self.metrics
+                    .confidence
+                    .with_label(&pair.label)
+                    .set(pair.quarantine_confidence);
+                if self.tracer.is_enabled() {
+                    self.tracer.event(
+                        "supervisor",
+                        "quarantine-skip",
+                        format_args!(
+                            "{} (confidence {:.3})",
+                            pair.label, pair.quarantine_confidence
+                        ),
+                    );
+                }
+                probes.push(None);
+                continue;
+            };
+            pair.retries += retries as u64;
             pair.backoff_waited_us += backoff_us;
-            if attempt > 0 {
+            if retries > 0 {
                 self.metrics
                     .retries
                     .with_label(&pair.label)
-                    .inc_by(attempt as u64);
+                    .inc_by(retries as u64);
                 self.metrics
                     .backoff_us
                     .with_label(&pair.label)
@@ -1251,37 +1281,21 @@ impl Supervisor {
                         "policy",
                         "retry-backoff",
                         format_args!(
-                            "{}: {attempt} retries, {backoff_us} µs scheduled at tick {tick}",
+                            "{}: {retries} retries, {backoff_us} µs scheduled at tick {tick}",
                             pair.label
                         ),
                     );
                 }
             }
-            plans.push(Plan::Analyze {
-                input,
-                retries: attempt,
-                backoff_us,
+            probes.push(Some((retries, backoff_us)));
+            jobs.push(Job {
+                pair,
+                input: Some(input),
             });
         }
 
-        // Phase 2 (parallel): run every planned analysis under the
-        // watchdogs. Jobs are per-pair &mut state; a panicking job is
-        // contained in its own slot.
-        struct Job<'a> {
-            pair: &'a mut Pair,
-            input: Option<PairInput>,
-        }
-        let mut jobs: Vec<Job<'_>> = Vec::new();
-        let mut job_index: Vec<usize> = Vec::new();
-        for (idx, (pair, plan)) in self.pairs.iter_mut().zip(&mut plans).enumerate() {
-            if let Plan::Analyze { input, .. } = plan {
-                jobs.push(Job {
-                    pair,
-                    input: Some(input.clone()),
-                });
-                job_index.push(idx);
-            }
-        }
+        // Run every planned analysis under the watchdogs; a panicking job
+        // is contained in its own slot.
         let results = threadpool::par_catch_map_mut(&mut jobs, |job| {
             let input = job.input.take().expect("input set at plan time");
             let start = Instant::now();
@@ -1291,35 +1305,26 @@ impl Supervisor {
         });
         drop(jobs);
 
-        // Phase 3 (serial): bookkeeping — breakers, verdicts, recovery.
-        let mut analysis_results = job_index.into_iter().zip(results);
+        // Bookkeeping — breakers, verdicts, recovery.
+        let mut analysis_results = results.into_iter();
         let mut reports = Vec::with_capacity(self.pairs.len());
-        for (idx, plan) in plans.into_iter().enumerate() {
-            let (retries, backoff_us, result) = match plan {
-                Plan::Skip { confidence } => {
-                    let pair = &self.pairs[idx];
-                    reports.push(PairReport {
-                        pair: idx,
-                        label: pair.label.clone(),
-                        outcome: PairOutcome::Skipped { confidence },
-                        health: pair.breaker.state(),
-                        containment: pair.mitigation.state(),
-                        retries: 0,
-                        backoff_us: 0,
-                    });
-                    continue;
-                }
-                Plan::Analyze {
-                    retries,
-                    backoff_us,
-                    ..
-                } => {
-                    let (job_idx, result) =
-                        analysis_results.next().expect("one result per planned job");
-                    debug_assert_eq!(job_idx, idx);
-                    (retries, backoff_us, result)
-                }
+        for (idx, probe) in probes.into_iter().enumerate() {
+            let Some((retries, backoff_us)) = probe else {
+                let pair = &self.pairs[idx];
+                reports.push(PairReport {
+                    pair: idx,
+                    label: pair.label.clone(),
+                    outcome: PairOutcome::Skipped {
+                        confidence: pair.quarantine_confidence,
+                    },
+                    health: pair.breaker.state(),
+                    containment: pair.mitigation.state(),
+                    retries: 0,
+                    backoff_us: 0,
+                });
+                continue;
             };
+            let result = analysis_results.next().expect("one result per planned job");
             let outcome = self.settle_pair(idx, tick, deadline_us, result);
             self.drive_mitigation(idx, tick, enforcer);
             let pair = &self.pairs[idx];
@@ -1342,11 +1347,11 @@ impl Supervisor {
 
         self.tick = tick + 1;
 
-        // Phase 4: automatic checkpoint, if due. Every due tick attempts a
-        // full durable checkpoint — while degraded that doubles as the
-        // heal probe (success *is* the full re-persist) — and a storage
-        // fault degrades durability to in-memory shadows instead of
-        // wedging or silently no-opping.
+        // Automatic checkpoint, if due. Every due tick attempts a full
+        // durable checkpoint — while degraded that doubles as the heal
+        // probe (success *is* the full re-persist) — and a storage fault
+        // degrades durability to in-memory shadows instead of wedging or
+        // silently no-opping.
         let mut checkpoint_generation = None;
         let mut checkpoint_error = None;
         if self.store.is_some()
@@ -1358,7 +1363,9 @@ impl Supervisor {
             checkpoint_error = error;
         }
 
-        let tick_elapsed_us = tick_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let tick_elapsed_us = probed
+            .probe_us
+            .saturating_add(settle_started.elapsed().as_micros().min(u64::MAX as u128) as u64);
         self.metrics.ticks.inc();
         self.metrics.tick_latency_us.observe(tick_elapsed_us as f64);
         self.totals.tick_latency_us.observe(tick_elapsed_us as f64);
@@ -1786,7 +1793,11 @@ impl Supervisor {
     /// # Errors
     ///
     /// Returns [`DetectorError::InvalidConfig`] for an out-of-range index.
-    pub fn set_degraded(&mut self, pair: usize, degraded: bool) -> Result<(), DetectorError> {
+    pub(crate) fn set_degraded(
+        &mut self,
+        pair: usize,
+        degraded: bool,
+    ) -> Result<(), DetectorError> {
         let entry = self
             .pairs
             .get_mut(pair)
@@ -1974,7 +1985,7 @@ impl Supervisor {
     /// Returns [`DetectorError::InvalidConfig`] for an out-of-range index
     /// and propagates window-serialization errors (in which case the pair
     /// is *not* removed).
-    pub fn remove_pair(&mut self, pair: usize) -> Result<PairSnapshot, DetectorError> {
+    pub(crate) fn remove_pair(&mut self, pair: usize) -> Result<PairSnapshot, DetectorError> {
         let snapshot = self.export_pair(pair)?;
         self.pairs.swap_remove(pair);
         Ok(snapshot)
@@ -1989,7 +2000,7 @@ impl Supervisor {
     ///
     /// Returns [`DetectorError::InvalidConfig`] for an out-of-range index
     /// and propagates window-serialization errors.
-    pub fn export_pair(&self, pair: usize) -> Result<PairSnapshot, DetectorError> {
+    pub(crate) fn export_pair(&self, pair: usize) -> Result<PairSnapshot, DetectorError> {
         let p = self
             .pairs
             .get(pair)
@@ -2031,7 +2042,7 @@ impl Supervisor {
     /// config, or its window fails validation (wrong kind or capacity) —
     /// callers that must not lose the pair retry with
     /// [`PairSnapshot::degrade`].
-    pub fn import_pair(&mut self, snapshot: PairSnapshot) -> Result<usize, DetectorError> {
+    pub(crate) fn import_pair(&mut self, snapshot: PairSnapshot) -> Result<usize, DetectorError> {
         let breaker = CircuitBreaker::deserialize(self.config.quarantine, &snapshot.breaker)
             .ok_or_else(|| DetectorError::CheckpointMismatch {
                 reason: format!("pair {:?}: undecodable breaker state", snapshot.label),
@@ -2107,23 +2118,23 @@ impl Supervisor {
         Ok(idx)
     }
 
-    /// Reads everything recoverable about a (possibly dead) fleet out of
-    /// its checkpoint store without constructing a `Supervisor`: the
-    /// newest valid manifest generation, then every listed pair's newest
-    /// valid window, rolling back over corrupt generations. Pairs whose
-    /// windows are unrecoverable are returned without a window (forcing a
-    /// degraded import), never dropped — the migration path's zero-lost-
-    /// pairs guarantee starts here.
+    /// Reads every pair of a (possibly dead) fleet out of its checkpoint
+    /// store without constructing a `Supervisor`, in the dead fleet's pair
+    /// order: the newest valid manifest generation, then every listed
+    /// pair's newest valid window, rolling back over corrupt generations.
+    /// Pairs whose windows are unrecoverable are returned without a window
+    /// (forcing a degraded import), never dropped — the migration path's
+    /// zero-lost-pairs guarantee starts here.
     ///
     /// # Errors
     ///
     /// Returns [`DetectorError::CheckpointMismatch`] when the store has no
     /// manifest at all, manifest parse errors, and config-validation
     /// errors; per-pair window failures degrade instead of erroring.
-    pub fn recover_pairs(
+    pub(crate) fn recover_pairs(
         config: &SupervisorConfig,
         store: &CheckpointStore,
-    ) -> Result<RecoveredFleet, DetectorError> {
+    ) -> Result<Vec<PairSnapshot>, DetectorError> {
         config.mitigation.validate()?;
         let loaded =
             store
@@ -2131,10 +2142,6 @@ impl Supervisor {
                 .ok_or(DetectorError::CheckpointMismatch {
                     reason: "store has no supervisor manifest".to_string(),
                 })?;
-        let manifest_from = RestoredFrom {
-            generation: loaded.generation,
-            rolled_back: loaded.rolled_back,
-        };
         let manifest = parse_manifest(&loaded.payload, config.quarantine, config.mitigation)?;
         let fallback_policy = MitigationPolicy::new(config.mitigation)?;
         let mut pairs = Vec::with_capacity(manifest.pairs.len());
@@ -2169,11 +2176,7 @@ impl Supervisor {
                 retries: entry.retries,
             });
         }
-        Ok(RecoveredFleet {
-            tick: manifest.tick,
-            manifest: manifest_from,
-            pairs,
-        })
+        Ok(pairs)
     }
 
     /// This fleet's private latency totals (audit, tick) for hierarchical
