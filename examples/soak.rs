@@ -1018,9 +1018,6 @@ struct BusRig {
     trojan_ctx: ContextId,
     spy_ctx: ContextId,
     quanta: u64,
-    /// Last clean harvest, so a retried probe can model a successful
-    /// buffer re-read instead of advancing the hardware again.
-    last_clean: Option<DensityHistogram>,
 }
 
 impl BusRig {
@@ -1086,17 +1083,16 @@ impl BusRig {
             trojan_ctx,
             spy_ctx,
             quanta: 0,
-            last_clean: None,
         }
     }
 
-    /// Advances one quantum and hands back the bus harvest; a retry
-    /// re-reads the auditor's buffer instead.
+    /// Advances one quantum and hands back the bus harvest. A read-out the
+    /// injector dropped is a miss, and so is every retry of it: the quantum
+    /// already drained the auditor's buffer, so there is nothing to re-read
+    /// and a retry must not advance the hardware again.
     fn harvest(&mut self, attempt: u32) -> PairInput {
         if attempt > 0 {
-            return self.last_clean.take().map_or(PairInput::Missed, |h| {
-                PairInput::Harvest(Harvest::Complete(h))
-            });
+            return PairInput::Missed;
         }
         self.quanta += 1;
         let quantum = self
@@ -1108,13 +1104,7 @@ impl BusRig {
             )
             .expect("audit harvest");
         match quantum.bus.expect("bus is audited") {
-            Harvest::Missed => {
-                // The injector dropped the read-out; keep the buffer around
-                // for the retry path. (A real collector would re-issue the
-                // harvest instruction.)
-                self.last_clean = self.session.harvest_bus_histogram(quantum.boundary).ok();
-                PairInput::Missed
-            }
+            Harvest::Missed => PairInput::Missed,
             harvest => PairInput::Harvest(harvest),
         }
     }
